@@ -344,8 +344,8 @@ class SolveEngine:
     def _batchable(self, job: JobRecord) -> bool:
         """Only pristine jobs coalesce: first attempt, no chaos plan, no
         deadline (a shared task cannot honor one member's wall budget),
-        no pending cancel, and no adaptive-precision basis (each
-        column's controller would diverge from the lockstep, so
+        no pending cancel, and no adaptive-precision basis (its columns
+        would hold bases in different formats at once, so
         ``solve_batch`` refuses it — adaptive jobs always run solo)."""
         return (
             not job.attempts

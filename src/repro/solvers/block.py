@@ -1,10 +1,15 @@
-"""Batched multi-RHS CB-GMRES (lockstep block Arnoldi over ``(n, B)``).
+"""The CB-GMRES restart/Arnoldi loop, run in lockstep over ``B`` columns.
 
-Serving traffic is many right-hand sides against few matrices (ROADMAP
-item 2).  This module runs ``B`` simultaneous restarted-GMRES processes
-against one matrix: every unfinished column performs its restart
-evaluation together (one multi-vector SpMV), and all columns inside an
-Arnoldi cycle advance through the same step ``j`` in lockstep, so
+This module holds the one Arnoldi loop of :class:`~repro.solvers.gmres.
+CbGmres`: restart residual, Arnoldi cycle, Givens least squares,
+stall detection, breakdown recovery and the adaptive precision
+controller.  :meth:`~repro.solvers.gmres.CbGmres.solve` is the
+``B == 1`` case of :func:`solve_batch`;
+:meth:`~repro.solvers.gmres.CbGmres.solve_batch` runs ``B``
+simultaneous restarted-GMRES processes against one matrix.  Every
+unfinished column performs its restart evaluation together (one
+multi-vector SpMV), and all columns inside an Arnoldi cycle advance
+through the same step ``j`` in lockstep, so
 
 * the SpMV is one :meth:`~repro.sparse.engine.SpmvEngine.matmat` over
   the active columns instead of ``B`` separate matvecs,
@@ -16,34 +21,37 @@ Arnoldi cycle advance through the same step ``j`` in lockstep, so
   :meth:`~repro.core.frsz2.FRSZ2.compress_batch` encode
   (:func:`repro.solvers.basis.write_basis_vectors_batch`).
 
+With ``B == 1`` (or an operator without ``matmat``, e.g. a fault
+injector) every batched fast path is bypassed and the loop runs the
+solo kernels directly.  :class:`~repro.solvers.fgmres.FlexibleGmres`
+keeps its own loop: it stores two bases, writes ``Z`` before the SpMV
+and has no recovery path.
+
 Bit-identity contract
 ---------------------
 Column ``c`` of a batched solve is **bit-identical** to an independent
-:meth:`~repro.solvers.gmres.CbGmres.solve` on ``B[:, c]``: identical
-solution bits, residual history, iteration counts, events, and
-per-column work stats.  This holds because every per-column scalar
-decision (convergence, stalling, the eta test, breakdown handling,
-recovery budgets) is evaluated with exactly the solo code's operations
-in the solo code's order, and each batched kernel is bit-identical per
-column to its solo counterpart (see :mod:`repro.fused.batch`,
+solve of ``B[:, c]``: identical solution bits, residual history,
+iteration counts, events, and per-column work stats.  This holds
+because every per-column scalar decision (convergence, stalling, the
+eta test, breakdown handling, recovery budgets, storage decisions) is
+evaluated per column in the same order whatever the batch size, and
+each batched kernel is bit-identical per column to its solo
+counterpart (see :mod:`repro.fused.batch`,
 :meth:`~repro.sparse.csr.CSRMatrix.matmat`,
 :func:`~repro.accessor.frsz2_accessor.write_frsz2_batch`).  Columns
 that converge, break down, or get poisoned simply leave the lockstep
 early — they stop doing work while the rest of the batch proceeds.
-
-With ``B == 1`` (or an operator without ``matmat``, e.g. a fault
-injector) every batched fast path is bypassed and the code runs the
-solo kernels directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..fused.batch import BatchTileReader, axpy_batch, dot_basis_batch
+from .adaptive import ADAPTIVE_STORAGE, CycleFeedback, PrecisionController
 from .basis import KrylovBasis, write_basis_vectors_batch
 from .gmres import BreakdownEvent, GmresResult, ResidualSample, SolveStats
 from .hessenberg import GivensLeastSquares
@@ -94,16 +102,17 @@ class BatchGmresResult:
 
 
 class _Column:
-    """Mutable per-RHS solver state, mirroring ``CbGmres.solve`` locals."""
+    """Mutable state of one right-hand side's restarted solve."""
 
     __slots__ = (
         "idx", "b", "bnorm", "target", "x", "basis", "stats", "history",
         "events", "total_iters", "stagnant", "fruitless", "prev_explicit",
         "rrn", "converged", "stalled", "exhausted", "finished", "result",
-        "lsq", "j_used", "poison", "in_cycle", "in_step", "v", "last_impl",
+        "lsq", "j_used", "poison", "in_step", "v", "last_impl",
+        "controller", "cycle_mark", "bits_seen",
     )
 
-    def __init__(self, idx, b, bnorm, target, x, basis, stats):
+    def __init__(self, idx, b, bnorm, target, x, basis, stats, controller):
         self.idx = idx
         self.b = b
         self.bnorm = bnorm
@@ -126,17 +135,96 @@ class _Column:
         self.lsq: Optional[GivensLeastSquares] = None
         self.j_used = 0
         self.poison: Optional[BreakdownEvent] = None
-        self.in_cycle = False
         self.in_step = False
         self.v: Optional[np.ndarray] = None
         self.last_impl = np.inf
+        #: adaptive storage only: the controller, the stat counters at
+        #: the open cycle's start (per-cycle feedback deltas) and the
+        #: stored bits of every format used (traffic-weighted mean)
+        self.controller: Optional[PrecisionController] = controller
+        self.cycle_mark: Optional[tuple] = None
+        self.bits_seen: Dict[str, float] = {}
 
     def recover(self, event: BreakdownEvent, max_recoveries: int) -> bool:
-        """Log a recovery; True while the fruitless budget remains."""
+        """Log a recovery; False (and finish) once the budget runs out."""
         self.events.append(event)
         self.stats.recoveries += 1
         self.fruitless += 1
-        return self.fruitless <= max_recoveries
+        if self.fruitless <= max_recoveries:
+            return True
+        self.exhausted = self.finished = True
+        return False
+
+    def _bucket(self, d: Dict[str, int], k: int) -> None:
+        d[self.basis.storage] = d.get(self.basis.storage, 0) + k
+
+    def count_reads(self, k: int) -> None:
+        self.stats.basis_reads += k
+        if self.controller is not None:
+            self._bucket(self.stats.reads_by_storage, k)
+
+    def count_write(self, j: int) -> None:
+        self.stats.basis_writes += 1
+        if self.controller is not None:
+            self._bucket(self.stats.writes_by_storage, 1)
+            if j == 0:  # round-trip formats know their size once written
+                self.bits_seen[self.basis.storage] = self.basis.bits_per_value
+
+    def pick_storage(self) -> None:
+        """Feed the finished cycle back, then pick this cycle's storage.
+
+        Both steps read explicit residuals only, so the decision stream
+        is identical across basis modes and batch sizes.
+        """
+        stats = self.stats
+        if self.cycle_mark is not None:
+            rrn0, iters0, reorth0, recov0, events0 = self.cycle_mark
+            self.controller.observe_cycle(CycleFeedback(
+                storage=self.basis.storage,
+                start_rrn=rrn0,
+                end_rrn=self.rrn,
+                iterations=stats.iterations - iters0,
+                reorthogonalizations=stats.reorthogonalizations - reorth0,
+                loss_of_orthogonality=any(
+                    e.kind == "loss_of_orthogonality"
+                    for e in self.events[events0:]
+                ),
+                recoveries=stats.recoveries - recov0,
+            ))
+        decision = self.controller.decide(self.rrn, self.target)
+        if decision.storage != self.basis.storage:
+            self.basis.set_storage(decision.storage)
+        stats.storage_trace.append(decision.storage)
+        self.cycle_mark = (
+            self.rrn, stats.iterations, stats.reorthogonalizations,
+            stats.recoveries, len(self.events),
+        )
+
+    def close_stats(self) -> None:
+        """Copy the basis-side work log into ``stats`` after the solve."""
+        stats, basis = self.stats, self.basis
+        stats.bits_per_value = basis.bits_per_value
+        ctl = self.controller
+        if ctl is not None:
+            stats.precision_upshifts = ctl.upshifts
+            stats.precision_downshifts = ctl.downshifts
+            # one scalar cannot name a mixed-storage solve's width, so
+            # report the traffic-weighted mean of the formats used
+            touches = {
+                fmt: stats.reads_by_storage.get(fmt, 0)
+                + stats.writes_by_storage.get(fmt, 0)
+                for fmt in self.bits_seen
+            }
+            weight = sum(touches.values())
+            if weight:
+                stats.bits_per_value = (
+                    sum(self.bits_seen[f] * t for f, t in touches.items())
+                    / weight
+                )
+        stats.basis_peak_float64_bytes = basis.peak_float64_bytes
+        for name in ("dot_calls", "dot_vectors", "axpy_calls", "axpy_vectors",
+                     "combine_calls", "combine_vectors", "tiles", "values"):
+            setattr(stats, "fused_" + name, getattr(basis.fused_log, name))
 
 
 def _cgs_orthogonalize_batch(
@@ -213,12 +301,13 @@ def solve_batch(
     ----------
     solver : CbGmres
         The configured solver (matrix, storage, restart length, ...).
-    B : ndarray (n, B) or sequence of (n,) vectors
+    B : ndarray (n, B) or (n,), or sequence of (n,) vectors
         Right-hand sides, one per column.
     target_rrn : float or sequence of float
         Per-column relative-residual target (a scalar applies to all).
     x0 : ndarray (n, B), optional
-        Initial guesses; defaults to zero (paper §V-B).
+        Initial guesses; defaults to zero (paper §V-B).  A 1-D ``x0``
+        is read as one column.
     record_history, monitor
         As in :meth:`~repro.solvers.gmres.CbGmres.solve`; the batched
         monitor receives the column index first:
@@ -236,6 +325,7 @@ def solve_batch(
     prec = solver.preconditioner
     tracer = solver.tracer
     use_cgs = solver.orthogonalization == "cgs"
+    adaptive = solver.storage == ADAPTIVE_STORAGE
 
     if isinstance(B, np.ndarray):
         if B.ndim == 1:
@@ -263,6 +353,8 @@ def solve_batch(
             raise ValueError("target_rrn must be non-negative")
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
+        if x0.ndim == 1:
+            x0 = x0[:, None]
         if x0.shape != (n, nrhs):
             raise ValueError(f"x0 must have shape ({n}, {nrhs})")
 
@@ -271,10 +363,25 @@ def solve_batch(
 
     cols: List[_Column] = []
     for c, b in enumerate(b_cols):
+        # a fresh controller per column keeps solves independent (and
+        # the cached/streaming bit-identity contract: decisions depend
+        # only on explicit residuals, which the modes share exactly)
+        controller = (
+            PrecisionController(solver.precision, tracer=tracer)
+            if adaptive else None
+        )
         basis = KrylovBasis(
-            n, m, solver.storage, solver._factory, tracer=tracer,
-            basis_mode=solver.basis_mode, tile_elems=solver.tile_elems,
-            backend=getattr(solver, "backend", None),
+            n,
+            m,
+            # adaptive: first decision lands before the first write; the
+            # ladder top is a never-read placeholder until then
+            controller.config.ladder[-1] if controller else solver.storage,
+            solver._factory,
+            tracer=tracer,
+            basis_mode=solver.basis_mode,
+            tile_elems=solver.tile_elems,
+            storage_factory=solver._storage_factory,
+            backend=solver.backend,
         )
         stats = SolveStats(
             n=n,
@@ -287,7 +394,7 @@ def solve_batch(
         )
         bnorm = float(np.linalg.norm(b))
         x = np.zeros(n) if x0 is None else np.array(x0[:, c], dtype=np.float64)
-        col = _Column(c, b, bnorm, targets[c], x, basis, stats)
+        col = _Column(c, b, bnorm, targets[c], x, basis, stats, controller)
         if bnorm == 0.0:
             col.finished = True
             col.result = GmresResult(
@@ -319,34 +426,28 @@ def solve_batch(
             [c.basis for c in writers], j, [c.v for c in writers]
         ):
             for c in writers:
-                c.stats.basis_writes += 1
+                c.count_write(j)
             out.batched_basis_writes += len(writers)
             return []
         return writers
 
-    # -- lockstep outer loop ------------------------------------------
-    while True:
-        active = [c for c in cols if not c.finished]
-        if not active:
-            break
-
-        # -- (re)start: explicit residual -----------------------------
+    def restart(active: "List[_Column]") -> "List[_Column]":
+        """Explicit residuals; returns the columns entering a cycle."""
         axs = spmv_block([c.x for c in active])
         entering: List[_Column] = []
         for c, ax in zip(active, axs):
-            c.in_cycle = False
             r = c.b - ax
             c.stats.spmv_calls += 1
             c.stats.dense_vector_ops += 2
             beta = float(np.linalg.norm(r))
             if solver.recovery and not np.isfinite(beta):
-                if c.recover(
+                # a fault in the restart SpMV itself (x is known finite:
+                # poisoned updates are never applied) — recompute it on
+                # the next pass
+                c.recover(
                     BreakdownEvent(c.total_iters, "nonfinite_residual"),
                     solver.max_recoveries,
-                ):
-                    continue  # re-evaluate the restart next pass
-                c.exhausted = True
-                c.finished = True
+                )
                 continue
             c.rrn = beta / c.bnorm
             if c.rrn < c.prev_explicit:
@@ -356,8 +457,7 @@ def solve_batch(
                     ResidualSample(c.total_iters, c.rrn, "explicit")
                 )
             if c.rrn <= c.target:
-                c.converged = True
-                c.finished = True
+                c.converged = c.finished = True
                 continue
             if c.total_iters >= solver.max_iter:
                 c.finished = True
@@ -366,37 +466,36 @@ def solve_batch(
                 if c.rrn > c.prev_explicit * solver.stall_factor:
                     c.stagnant += 1
                     if c.stagnant >= solver.stall_restarts:
-                        c.stalled = True
-                        c.finished = True
+                        c.stalled = c.finished = True
                         continue
                 else:
                     c.stagnant = 0
             c.prev_explicit = min(c.prev_explicit, c.rrn)
+            if c.controller is not None:
+                c.pick_storage()
 
             c.basis.reset()
             c.v = r / beta
             c.lsq = GivensLeastSquares(m, beta)
             c.j_used = 0
             c.poison = None
-            c.in_cycle = True
             c.in_step = True
             entering.append(c)
 
         # slot-0 writes of every entering column, batched when possible
         for c in write_slot(entering, 0):
             c.basis.write_vector(0, c.v)  # storage rejections propagate
-            c.stats.basis_writes += 1
+            c.count_write(0)
+        return entering
 
-        cycle = [c for c in active if c.in_cycle]
-        if not cycle:
-            continue
-
-        # -- lockstep Arnoldi cycle -----------------------------------
+    def arnoldi(cycle: "List[_Column]") -> None:
+        """One lockstep Arnoldi cycle (Fig. 1 steps 2-17)."""
         for j in range(1, m + 1):
             live = [c for c in cycle if c.in_step]
             if not live:
                 break
-            with tracer.span("arnoldi", j=j, columns=len(live)):
+            with tracer.span("arnoldi", j=j):
+                # w := A (M^-1 v); the newest vector stays in double
                 zs = []
                 for c in live:
                     if prec.is_identity:
@@ -420,7 +519,7 @@ def solve_batch(
 
                 # orthogonalization: the CGS copy (w := np.array(w)) is
                 # the fill of the Fortran-ordered block
-                with tracer.span("orthogonalize", columns=len(step)):
+                with tracer.span("orthogonalize"):
                     if use_cgs and len(step) > 1:
                         W = np.empty((n, len(step)), order="F")
                         for i, w in enumerate(step_ws):
@@ -441,7 +540,7 @@ def solve_batch(
                         ]
                 writers: List[_Column] = []
                 for c, ores in zip(step, oress):
-                    c.stats.basis_reads += 2 * j if ores.reorthogonalized else j
+                    c.count_reads(2 * j if ores.reorthogonalized else j)
                     c.stats.reorthogonalizations += int(ores.reorthogonalized)
                     c.stats.dense_vector_ops += 4
                     if solver.recovery and ores.nonfinite:
@@ -465,6 +564,8 @@ def solve_batch(
                         c.in_step = False  # happy breakdown
                         continue
                     if solver.recovery and ores.loss_of_orthogonality:
+                        # the columns absorbed so far are valid: apply
+                        # the partial update, then restart the cycle early
                         c.events.append(
                             BreakdownEvent(c.total_iters, "loss_of_orthogonality")
                         )
@@ -483,41 +584,53 @@ def solve_batch(
                         )
                         c.in_step = False
                         continue
-                    c.stats.basis_writes += 1
+                    c.count_write(j)
                 for c in writers:
                     if not c.in_step:
                         continue
                     if c.last_impl <= c.target or c.total_iters >= solver.max_iter:
                         c.in_step = False
 
-        # -- per-column solution updates ------------------------------
+    def update(cycle: "List[_Column]") -> None:
+        """Per-column solution updates (Fig. 1 step 18)."""
         for c in cycle:
             if c.poison is not None:
-                if not c.recover(c.poison, solver.max_recoveries):
-                    c.exhausted = True
-                    c.finished = True
+                # discard the poisoned tail; columns absorbed before the
+                # fault are provably finite and are salvaged below
+                # (unless the fault hit before any column was absorbed)
+                if not c.recover(c.poison, solver.max_recoveries) or not c.j_used:
                     continue
-                if c.j_used == 0:
-                    continue  # fault hit before any column was absorbed
+            # x := x0 + M^-1 (V_m y)
             with tracer.span("update", columns=c.j_used):
                 y = c.lsq.solve()
-                update = c.basis.combine(c.j_used, y)
+                upd = c.basis.combine(c.j_used, y)
             if not prec.is_identity:
-                update = prec.apply(update)
+                upd = prec.apply(upd)
                 c.stats.preconditioner_applies += 1
-            if solver.recovery and not np.all(np.isfinite(update)):
-                if c.recover(
+            if solver.recovery and not np.all(np.isfinite(upd)):
+                # corrupted stored vectors leaked into V_m y: drop it
+                c.recover(
                     BreakdownEvent(c.total_iters, "nonfinite_update"),
                     solver.max_recoveries,
-                ):
-                    continue
-                c.exhausted = True
-                c.finished = True
+                )
                 continue
-            c.x = c.x + update
-            c.stats.basis_reads += c.j_used
+            c.x = c.x + upd
+            c.count_reads(c.j_used)
             c.stats.dense_vector_ops += 1
             c.stats.restarts += 1
+
+    # -- lockstep outer loop: one ``restart`` span per pass -----------
+    while True:
+        active = [c for c in cols if not c.finished]
+        if not active:
+            break
+        with tracer.span(
+            "restart", index=min(c.stats.restarts for c in active)
+        ):
+            cycle = restart(active)
+            if cycle:
+                arnoldi(cycle)
+                update(cycle)
 
     # -- final verification (batched over every solved column) --------
     pending = [c for c in cols if c.result is None]
@@ -527,23 +640,15 @@ def solve_batch(
             final_rrn = float(np.linalg.norm(c.b - final_ax) / c.bnorm)
             c.stats.spmv_calls += 1
             if solver.recovery and not np.isfinite(final_rrn):
+                # the verification SpMV itself was hit; x is finite, so
+                # report the last trustworthy explicit residual
                 c.events.append(
                     BreakdownEvent(c.total_iters, "nonfinite_residual")
                 )
                 final_rrn = (
                     c.rrn if np.isfinite(c.rrn) else float(c.prev_explicit)
                 )
-            c.stats.bits_per_value = c.basis.bits_per_value
-            c.stats.basis_peak_float64_bytes = c.basis.peak_float64_bytes
-            flog = c.basis.fused_log
-            c.stats.fused_dot_calls = flog.dot_calls
-            c.stats.fused_dot_vectors = flog.dot_vectors
-            c.stats.fused_axpy_calls = flog.axpy_calls
-            c.stats.fused_axpy_vectors = flog.axpy_vectors
-            c.stats.fused_combine_calls = flog.combine_calls
-            c.stats.fused_combine_vectors = flog.combine_vectors
-            c.stats.fused_tiles = flog.tiles
-            c.stats.fused_values = flog.values
+            c.close_stats()
             c.result = GmresResult(
                 x=c.x,
                 converged=c.converged,
@@ -556,6 +661,9 @@ def solve_batch(
                 stalled=c.stalled,
                 breakdown_events=c.events,
                 recovery_exhausted=c.exhausted,
+                precision_trace=(
+                    list(c.controller.decisions) if c.controller else []
+                ),
             )
 
     out.results = [c.result for c in cols]

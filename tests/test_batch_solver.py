@@ -77,6 +77,34 @@ class TestBitIdentity:
         )
         assert_columns_identical([solo], batch)
 
+    def test_storage_factory_builds_every_column(self):
+        """A batch must build each column's basis through the solver's
+        ``storage_factory``, exactly as the solo solve does."""
+        from repro.accessor import make_accessor
+
+        problem = make_problem("lung2", "smoke")
+        B = rhs_block(problem, 2)
+        calls = []
+
+        def factory(storage, n):
+            calls.append(storage)
+            return make_accessor(storage, n)
+
+        def solver():
+            return CbGmres(problem.a, "frsz2_32", m=20, max_iter=400,
+                           storage_factory=factory)
+
+        solos = [solver().solve(B[:, c], problem.target_rrn) for c in range(2)]
+        solo_calls = len(calls)
+        assert solo_calls == 2 * 21  # m + 1 slots per solve
+        del calls[:]
+        batch = solver().solve_batch(B, problem.target_rrn)
+        assert len(calls) == solo_calls
+        assert batch.batched_basis_writes > 0  # the shared path still ran
+        assert_columns_identical(solos, batch)
+        for solo, col in zip(solos, batch):
+            assert solo.x.tobytes() == col.x.tobytes()
+
     def test_streaming_basis_mode(self):
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 3)
@@ -244,6 +272,13 @@ class TestInputValidation:
     def test_x0_shape_mismatch(self):
         problem = make_problem("lung2", "smoke")
         solver = CbGmres(problem.a, "float64", m=30, max_iter=400)
+        n = problem.a.shape[0]
         B = rhs_block(problem, 2)
-        with pytest.raises(ValueError):
-            solver.solve_batch(B, 1e-6, x0=np.zeros(problem.a.shape[0]))
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve_batch(B, 1e-6, x0=np.zeros(n))
+        # the solo path routes x0 through the same check, so the error
+        # names x0 instead of failing inside the matvec
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(B[:, 0], 1e-6, x0=np.zeros(n + 1))
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(B[:, 0], 1e-6, x0=np.zeros((n, 2)))

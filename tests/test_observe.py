@@ -124,6 +124,25 @@ class TestInstrumentedSolve:
         assert agg["spmv"].count == res.stats.spmv_calls
         assert agg["arnoldi"].count == res.iterations
         assert agg["basis_write"].count == res.stats.basis_writes
+        # the bench attributes phases by span *path* (update minus the
+        # basis reads recorded under it), so pin the tree, not just names
+        paths = {s.path for s in t.spans}
+        for path in (
+            "restart/arnoldi/orthogonalize/basis_read",
+            "restart/arnoldi/basis_write",
+            "restart/update/basis_read",
+            "restart/spmv",
+            "restart/arnoldi/spmv",
+        ):
+            assert path in paths, f"missing span path {path}"
+        # one restart span per explicit residual: every completed cycle
+        # plus the converged evaluation; only the final check sits outside
+        assert not res.breakdown_events
+        assert agg["restart"].count == res.stats.restarts + 1
+        roots = [s for s in t.spans if s.depth == 0]
+        assert [s.name for s in roots] == (
+            ["restart"] * agg["restart"].count + ["spmv"]
+        )
 
     def test_counters_cover_every_layer(self):
         a, b = _small_problem()
