@@ -3,33 +3,35 @@
 A batched Arnoldi step orthogonalizes one new vector per right-hand
 side against that RHS's own stored basis.  All the active bases sit at
 the same depth ``j`` (the batch solver runs its columns in lockstep),
-so one decoded tile pass can serve every column: the scratch buffer
-stacks the per-column ``(j, tile)`` tiles into one C-contiguous
-``(C*j, tile)`` rectangle, and — when every basis streams FRSZ2
-payloads — the whole stack decodes in a **single**
+so one tile pass can serve every column.  When every basis streams
+FRSZ2 payloads, a scratch buffer stacks the per-column ``(j, tile)``
+tiles into one C-contiguous ``(C*j, tile)`` rectangle and the whole
+stack decodes in a **single**
 :meth:`~repro.core.frsz2.FRSZ2.decompress_blocks_batch` codec pass per
 tile (via :func:`repro.accessor.frsz2_accessor.read_frsz2_tiles` over
 the flattened ``C*j`` accessor list).  That is the throughput claim of
 the batched path: the FRSZ2 integer decode is paid once per batch
-instead of once per vector.
+instead of once per vector.  Cached bases need no decode and no
+scratch: each column's operand is a view of its own decoded mirror.
 
 Bit-identity contract
 ---------------------
 Column ``c`` of every batched kernel is bit-identical to the solo
 kernel in :mod:`repro.fused.kernels` run against column ``c`` alone:
 
-* the row block ``scratch[c*j:(c+1)*j, :tl]`` of the stacked scratch
-  has exactly the strides of a solo ``(j, tile)`` scratch view (row
-  stride = the full tile width), so the per-tile BLAS calls see
-  byte-identical operand layouts;
+* column ``c``'s per-tile operand is a ``(j, tl)`` float64 array with
+  contiguous rows — the row block ``scratch[c*j:(c+1)*j, :tl]`` of the
+  stacked decode, or the column's zero-copy mirror view — the same
+  operand shape the solo kernel hands BLAS;
 * the right-hand-side block is Fortran-ordered, so each column slice
   ``W[t0:t1, c]`` is contiguous like a solo ``w[t0:t1]``;
 * per-tile accumulation order is the solo kernels' fixed tile grid.
 
 Each column also bills its own :class:`~repro.fused.kernels.FusedOpLog`
 and tracer counters exactly as a solo call would (including the solo
-``j * tile`` scratch share), so per-column work logs — and therefore
-the timing model's inputs — match a loop of independent solves.
+``j * tile`` scratch share of a streaming column), so per-column work
+logs — and therefore the timing model's inputs — match a loop of
+independent solves.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ __all__ = [
 
 
 class BatchTileReader:
-    """Stacked tile source over one reader per batch column.
+    """Tile source over one reader per batch column.
 
-    ``load`` fills ``out[c*j:(c+1)*j, :t1-t0]`` with column ``c``'s
-    leading-``j`` basis tiles.  When every sub-reader is a
-    :class:`~repro.fused.kernels.StreamingTileReader`, the flattened
-    ``C*j`` accessor list decodes in one batched codec pass per tile;
-    otherwise each sub-reader loads its own row block (bit-identical —
+    ``tile`` returns one ``(j, t1-t0)`` operand per column.  When every
+    sub-reader is a :class:`~repro.fused.kernels.StreamingTileReader`,
+    the flattened ``C*j`` accessor list decodes in one batched codec pass
+    per tile into the stacked scratch and the operands are its row
+    blocks; otherwise each sub-reader serves its own operand — a mirror
+    view, or a decode into its row block of the scratch (bit-identical —
     the batched decode is exchangeable with per-accessor reads).
     """
 
@@ -75,6 +78,7 @@ class BatchTileReader:
         for r in readers[1:]:
             if r.j != self.j or r.n != self.n:
                 raise ValueError("batch readers must share n and j")
+        self.needs_scratch = any(r.needs_scratch for r in readers)
         self._flat: "Optional[list]" = None
         if all(isinstance(r, StreamingTileReader) for r in readers):
             self._flat = [a for r in readers for a in r.accessors]
@@ -86,25 +90,33 @@ class BatchTileReader:
     def columns(self) -> int:
         return len(self.readers)
 
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if self._flat is not None and self._batched(self._flat, t0, t1, out):
-            return
+    def tile(
+        self, t0: int, t1: int, scratch: Optional[np.ndarray]
+    ) -> List[np.ndarray]:
         j = self.j
-        for c, r in enumerate(self.readers):
-            r.load(t0, t1, out[c * j:(c + 1) * j])
+        if self._flat is not None and self._batched(self._flat, t0, t1, scratch):
+            return [
+                scratch[c * j:(c + 1) * j, :t1 - t0] for c in range(self.columns)
+            ]
+        return [
+            r.tile(t0, t1, None if scratch is None else scratch[c * j:(c + 1) * j])
+            for c, r in enumerate(self.readers)
+        ]
 
 
 def _stacked_scratch(
     reader: BatchTileReader, tile_elems: int, logs: Optional[Sequence[FusedOpLog]]
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
+    if not reader.needs_scratch:
+        return None
     tile = min(tile_elems, max(reader.n, 1))
     scratch = np.empty((reader.columns * reader.j, tile))
     if logs is not None:
-        # each column observes its own (j, tile) share — what the solo
-        # kernel would have allocated for that column alone
+        # each streaming column observes its own (j, tile) share — what
+        # the solo kernel would have allocated for that column alone
         share = reader.j * tile * 8
-        for log in logs:
-            if log is not None:
+        for r, log in zip(reader.readers, logs):
+            if log is not None and r.needs_scratch:
                 log.observe_scratch(share)
     return scratch
 
@@ -168,13 +180,12 @@ def dot_basis_batch(
     grid = tile_grid(reader.n, tile_elems)
     scratch = _stacked_scratch(reader, tile_elems, logs)
     for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        tl = t1 - t0
+        tiles = reader.tile(t0, t1, scratch)
         for i, col in enumerate(cols):
-            # the (j, tl) row-block view has solo-scratch strides, and
-            # the F-order column slice is contiguous: same BLAS call,
-            # same bits as the solo kernel
-            H[:, i] += scratch[i * j:(i + 1) * j, :tl] @ W[t0:t1, col]
+            # the (j, tl) operand has the solo operand's shape, and the
+            # F-order column slice is contiguous: same BLAS call, same
+            # bits as the solo kernel
+            H[:, i] += tiles[i] @ W[t0:t1, col]
     _count_batch(tracer, logs, "dot", j, len(grid), reader.n, C)
     return H
 
@@ -205,10 +216,9 @@ def axpy_batch(
         np.ascontiguousarray(Y[:j, i], dtype=np.float64) for i in range(C)
     ]
     for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        tl = t1 - t0
+        tiles = reader.tile(t0, t1, scratch)
         for i, col in enumerate(cols):
-            W[t0:t1, col] -= yjs[i] @ scratch[i * j:(i + 1) * j, :tl]
+            W[t0:t1, col] -= yjs[i] @ tiles[i]
     _count_batch(tracer, logs, "axpy", j, len(grid), reader.n, C)
     return W
 

@@ -7,18 +7,24 @@ in main memory.  This module reproduces that kernel structure in NumPy:
 ``dot_basis_fused`` (``V^T w``), ``combine_fused`` (``V y``),
 ``axpy_fused`` (``w -= V y``) and ``norm_fused`` stream over the stored
 basis one *tile* at a time — a tile is a fixed run of storage blocks
-decoded for **all** ``j`` vectors at once into a small scratch buffer —
-and accumulate the result tile by tile.  The float64 working set is
-``O(tile x j)`` instead of the ``O(n x j)`` a materialized basis costs.
+covering **all** ``j`` vectors — and accumulate the result tile by tile.
+A streaming basis decodes each tile into a small scratch buffer, so its
+float64 working set is ``O(tile x j)`` instead of the ``O(n x j)`` a
+materialized basis costs; a cached basis hands the kernels a view of its
+decoded mirror, so each stored value crosses memory once per use.
 
 Determinism contract
 --------------------
-Floating-point accumulation order is fixed by the tile grid, the scratch
-layout (one C-contiguous ``(j, tile)`` buffer) and the per-tile reduction,
-*not* by where the tile's values came from.  A :class:`CachedTileReader`
-(slicing a dense decompressed cache) and a :class:`StreamingTileReader`
-(decoding compressed payloads on the fly) therefore produce bit-identical
-results — the property the ``basis_mode={cached,streaming}`` knob of
+Floating-point accumulation order is fixed by the tile grid, the
+per-tile operand shape (a ``(j, t1 - t0)`` float64 array whose rows are
+contiguous) and the per-tile ``@`` reduction, *not* by where the tile's
+values live.  A :class:`CachedTileReader` returns a zero-copy view of
+the dense decompressed mirror (row stride ``n``); a
+:class:`StreamingTileReader` decodes compressed payloads into a
+C-contiguous scratch (row stride = the tile width).  BLAS reduces each
+row in the same order whatever its leading dimension, so the two
+produce bit-identical results — the property the
+``basis_mode={cached,streaming}`` knob of
 :class:`~repro.solvers.basis.KrylovBasis` relies on, and the reason a
 full-matrix BLAS call (whose internal blocking differs) is *not* used on
 the cached side.
@@ -75,7 +81,7 @@ class FusedOpLog:
     combine_vectors: int = 0
     norm_calls: int = 0
     tiles: int = 0
-    #: decoded values streamed through scratch (sum of tile x j)
+    #: basis values the kernels consumed (sum of tile x j)
     values: int = 0
     #: largest float64 scratch buffer any fused call allocated
     peak_scratch_bytes: int = 0
@@ -100,29 +106,41 @@ class TileReader:
     """Source of decoded basis tiles for the fused kernels.
 
     A reader exposes ``n`` (vector length), ``j`` (leading vectors) and
-    :meth:`load`, which fills ``out[:, :t1 - t0]`` with rows
-    ``v_0[t0:t1] ... v_{j-1}[t0:t1]`` in float64.  Subclasses differ only
-    in where the values come from; they must deliver bit-identical
-    values for the same stored basis.
+    :meth:`tile`, which returns the ``(j, t1 - t0)`` float64 operand
+    whose rows are ``v_0[t0:t1] ... v_{j-1}[t0:t1]``.  Readers that decode
+    fill ``scratch[:, :t1 - t0]`` and return that slice; readers over a
+    decoded mirror return a view of it and need no scratch
+    (``needs_scratch`` is False, so the kernels pass ``None``).
+    Subclasses must deliver bit-identical values for the same stored
+    basis.
     """
 
     n: int
     j: int
+    #: whether :meth:`tile` writes into caller-provided scratch
+    needs_scratch = True
 
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
+    def tile(self, t0: int, t1: int, scratch: Optional[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
 
 class CachedTileReader(TileReader):
-    """Tiles sliced out of a dense decompressed ``(n, m+1)`` cache."""
+    """Zero-copy tiles of a dense decompressed ``(n, m+1)`` F-order cache.
+
+    The cache stores each vector contiguously, so ``cache[t0:t1, :j].T``
+    is already the ``(j, t1 - t0)`` operand with contiguous rows (row
+    stride ``n``); nothing is copied.
+    """
+
+    needs_scratch = False
 
     def __init__(self, cache: np.ndarray, j: int) -> None:
         self.cache = cache
         self.n = int(cache.shape[0])
         self.j = int(j)
 
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        out[:, : t1 - t0] = self.cache[t0:t1, : self.j].T
+    def tile(self, t0: int, t1: int, scratch: Optional[np.ndarray]) -> np.ndarray:
+        return self.cache[t0:t1, : self.j].T
 
 
 class StreamingTileReader(TileReader):
@@ -144,14 +162,18 @@ class StreamingTileReader(TileReader):
 
         self._batched: "Callable[..., bool]" = read_frsz2_tiles
 
-    def load(self, t0: int, t1: int, out: np.ndarray) -> None:
-        if self._batched(self.accessors, t0, t1, out):
-            return
-        for row, acc in enumerate(self.accessors):
-            out[row, : t1 - t0] = acc.read_tile(t0, t1)
+    def tile(self, t0: int, t1: int, scratch: Optional[np.ndarray]) -> np.ndarray:
+        if not self._batched(self.accessors, t0, t1, scratch):
+            for row, acc in enumerate(self.accessors):
+                scratch[row, : t1 - t0] = acc.read_tile(t0, t1)
+        return scratch[:, : t1 - t0]
 
 
-def _scratch_for(reader: TileReader, tile_elems: int, log: Optional[FusedOpLog]) -> np.ndarray:
+def _scratch_for(
+    reader: TileReader, tile_elems: int, log: Optional[FusedOpLog]
+) -> Optional[np.ndarray]:
+    if not reader.needs_scratch:
+        return None
     scratch = np.empty((reader.j, min(tile_elems, max(reader.n, 1))))
     if log is not None:
         log.observe_scratch(scratch.nbytes)
@@ -206,8 +228,7 @@ def dot_basis_fused(
     scratch = _scratch_for(reader, tile_elems, log)
     h = np.zeros(j)
     for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        h += scratch[:, : t1 - t0] @ w[t0:t1]
+        h += reader.tile(t0, t1, scratch) @ w[t0:t1]
     _count_call(tracer, log, "dot", j, len(grid), j * reader.n)
     return h
 
@@ -222,8 +243,8 @@ def combine_fused(
     """``V_j y`` assembled tile-by-tile (Fig. 1 step 18).
 
     Every output element is produced by exactly one per-tile vec-mat
-    product, so the result depends only on the tile grid and scratch
-    layout — identical across basis modes.
+    product, so the result depends only on the tile grid and operand
+    shape — identical across basis modes.
     """
     j = reader.j
     out = np.zeros(reader.n)
@@ -233,8 +254,7 @@ def combine_fused(
     scratch = _scratch_for(reader, tile_elems, log)
     yj = np.ascontiguousarray(y[:j], dtype=np.float64)
     for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        out[t0:t1] = yj @ scratch[:, : t1 - t0]
+        out[t0:t1] = yj @ reader.tile(t0, t1, scratch)
     _count_call(tracer, log, "combine", j, len(grid), j * reader.n)
     return out
 
@@ -252,8 +272,8 @@ def axpy_fused(
     Element-for-element this computes the same update as
     ``w - combine_fused(reader, y)`` (each element is touched once), but
     never materializes the ``(n,)`` product vector: the subtraction
-    happens tile-by-tile while the decoded tile is scratch-resident —
-    the fused-update kernel of the paper's solution update.
+    happens tile-by-tile while the tile is cache-resident — the
+    fused-update kernel of the paper's solution update.
     """
     j = reader.j
     if j == 0:
@@ -262,8 +282,7 @@ def axpy_fused(
     scratch = _scratch_for(reader, tile_elems, log)
     yj = np.ascontiguousarray(y[:j], dtype=np.float64)
     for t0, t1 in grid:
-        reader.load(t0, t1, scratch)
-        w[t0:t1] -= yj @ scratch[:, : t1 - t0]
+        w[t0:t1] -= yj @ reader.tile(t0, t1, scratch)
     _count_call(tracer, log, "axpy", j, len(grid), j * reader.n)
     return w
 

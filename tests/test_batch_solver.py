@@ -120,6 +120,30 @@ class TestBitIdentity:
         batch = solver().solve_batch(B, target)
         assert_columns_identical(solos, batch)
 
+    @pytest.mark.parametrize("storage", ["frsz2_32", "frsz2_16"])
+    def test_cached_batch_equals_streaming_batch(self, storage):
+        """B>1 cached (mirror views) vs streaming (stacked decode)."""
+        problem = make_problem("lung2", "smoke")
+        B = rhs_block(problem, 3)
+        batches = {
+            mode: CbGmres(
+                problem.a, storage, m=30, max_iter=400, basis_mode=mode,
+            ).solve_batch(B, problem.target_rrn)
+            for mode in ("cached", "streaming")
+        }
+        cached, streaming = batches["cached"], batches["streaming"]
+        assert cached.batched_ortho_steps > 0
+        for c, (rc, rs) in enumerate(zip(cached, streaming)):
+            assert rc.x.tobytes() == rs.x.tobytes(), f"column {c}: x bytes"
+            assert rc.iterations == rs.iterations
+            assert [(s.iteration, s.rrn, s.kind) for s in rc.history] == [
+                (s.iteration, s.rrn, s.kind) for s in rs.history
+            ], f"column {c}: residual history"
+            fused = [f for f in vars(rc.stats) if f.startswith("fused_")]
+            assert fused
+            for f in fused:
+                assert getattr(rc.stats, f) == getattr(rs.stats, f), (c, f)
+
     def test_mgs_falls_back_to_solo_kernels(self):
         problem = make_problem("lung2", "smoke")
         B = rhs_block(problem, 3)

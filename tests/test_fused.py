@@ -8,6 +8,8 @@ The satellite property is the memory claim: streaming never materializes
 an ``(n, m)`` float64 basis.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from repro.accessor import make_accessor
 from repro.accessor.frsz2_accessor import Frsz2Accessor, read_frsz2_tiles
 from repro.fused import (
     DEFAULT_TILE_ELEMS,
+    BatchTileReader,
     CachedTileReader,
     FusedOpLog,
     StreamingTileReader,
     axpy_fused,
     combine_fused,
+    dot_basis_batch,
     dot_basis_fused,
     norm_fused,
     tile_grid,
@@ -172,9 +176,100 @@ class TestReaderBitIdentity:
         out = np.empty((2, 64))
         assert not read_frsz2_tiles(accs, 0, 64, out)
         reader = StreamingTileReader(accs, 2)
-        reader.load(0, 64, out)
+        tile = reader.tile(0, 64, out)
+        assert np.shares_memory(tile, out)
         for row, acc in enumerate(accs):
-            np.testing.assert_array_equal(out[row], acc.read()[:64])
+            np.testing.assert_array_equal(tile[row], acc.read()[:64])
+
+
+SOLVER_SCALE_J = (1, 2, 7, 30, 51)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(n, s) for n in (13824, 8000) for s in ("float64", "frsz2_32", "frsz2_16")],
+    ids=lambda p: f"{p[0]}-{p[1]}",
+)
+def solver_scale_bases(request):
+    """Cached + streaming bases at the default tile, holding 51 vectors."""
+    n, storage = request.param
+    return _filled_bases(n, max(SOLVER_SCALE_J), storage, np.random.default_rng(n))
+
+
+class TestSolverScaleBitIdentity:
+    """Cached mode hands BLAS a mirror view with row stride ``n``;
+    streaming mode a scratch tile with row stride = the tile width.  The
+    results must still be byte-equal at solver sizes, including a ragged
+    last tile (8000 = 3 * 2048 + 1856)."""
+
+    @pytest.mark.parametrize("j", SOLVER_SCALE_J)
+    def test_kernels_byte_equal(self, solver_scale_bases, j):
+        cached, streaming = solver_scale_bases
+        n = cached.n
+        assert cached.tile_elems == streaming.tile_elems == DEFAULT_TILE_ELEMS
+        rng = np.random.default_rng(n * 100 + j)
+        w = rng.standard_normal(n)
+        y = rng.standard_normal(j)
+        assert cached.dot_basis(j, w).tobytes() == streaming.dot_basis(j, w).tobytes()
+        assert cached.combine(j, y).tobytes() == streaming.combine(j, y).tobytes()
+        wc, ws = w.copy(), w.copy()
+        cached.axpy(j, y, wc)
+        streaming.axpy(j, y, ws)
+        assert wc.tobytes() == ws.tobytes()
+
+
+class TestZeroCopyCachedTiles:
+    """Cached tiles are views of the decoded mirror: no copy, no scratch."""
+
+    @staticmethod
+    def _cached_basis(n=5000, j=6, seed=4):
+        rng = np.random.default_rng(seed)
+        basis = KrylovBasis(n, j, "frsz2_32", basis_mode="cached")
+        for i in range(j):
+            basis.write_vector(i, rng.standard_normal(n))
+        return basis, rng
+
+    def test_tile_is_a_view_of_the_mirror(self):
+        basis, _ = self._cached_basis()
+        reader = basis._reader(6)
+        assert not reader.needs_scratch
+        for t0, t1 in tile_grid(basis.n, basis.tile_elems):
+            tile = reader.tile(t0, t1, None)
+            assert tile.shape == (6, t1 - t0)
+            assert np.shares_memory(tile, basis._cache)
+            np.testing.assert_array_equal(tile, basis._cache[t0:t1, :6].T)
+
+    def test_mirror_unchanged_by_kernels(self):
+        basis, rng = self._cached_basis()
+        before = basis._cache.tobytes()
+        w = rng.standard_normal(basis.n)
+        basis.dot_basis(6, w)
+        basis.combine(6, rng.standard_normal(6))
+        basis.axpy(6, rng.standard_normal(6), w)
+        assert basis._cache.tobytes() == before
+        assert basis.fused_log.peak_scratch_bytes == 0
+
+    def test_batch_dot_allocates_no_stacked_scratch(self):
+        n, j, C = 2 * DEFAULT_TILE_ELEMS + 100, 50, 8
+        rng = np.random.default_rng(12)
+        caches = [np.asfortranarray(rng.standard_normal((n, j + 1))) for _ in range(C)]
+        W = np.asfortranarray(rng.standard_normal((n, C)))
+        logs = [FusedOpLog() for _ in range(C)]
+        reader = BatchTileReader([CachedTileReader(c, j) for c in caches])
+        assert not reader.needs_scratch
+        tracemalloc.start()
+        try:
+            H = dot_basis_batch(reader, W, list(range(C)), logs=logs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a stacked scratch would be C * j * tile * 8 = 6.5 MB; even one
+        # column's solo share (j * tile * 8 = 800 KB) is far above this
+        assert peak < j * DEFAULT_TILE_ELEMS * 8 // 8
+        assert all(log.peak_scratch_bytes == 0 for log in logs)
+        for i in range(C):
+            solo = dot_basis_fused(CachedTileReader(caches[i], j), W[:, i])
+            assert H[:, i].tobytes() == solo.tobytes()
 
 
 class TestArnoldiBitIdentity:
