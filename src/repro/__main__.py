@@ -564,7 +564,8 @@ def _cmd_bench(args) -> int:
         rows,
     ))
     bk = doc["backend"]
-    line = f"\nbackend: {bk['resolved']}"
+    print()
+    line = f"backend: {bk['resolved']}"
     if bk["engine"]:
         line += f" ({bk['engine']})"
     if bk["codec_speedup_geomean"] is not None:

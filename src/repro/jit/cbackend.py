@@ -1,11 +1,10 @@
 """Runtime-compiled C kernel engine (cffi + the system C compiler).
 
-This is the fallback JIT engine behind :mod:`repro.jit.nbackend`: the
-same scalar kernels, written once in C, compiled to a shared library on
-first use and loaded through cffi's ABI mode.  "JIT" is meant literally
-— the library is built at runtime from the source below, cached by
-content hash, so upgrading the kernels invalidates the cache
-automatically.
+This is the JIT engine behind ``backend='jit'``: scalar kernels written
+once in C, compiled to a shared library on first use and loaded through
+cffi's ABI mode.  "JIT" is meant literally — the library is built at
+runtime from the source below, cached by content hash, so upgrading the
+kernels invalidates the cache automatically.
 
 Bit-identity contract
 ---------------------
@@ -425,12 +424,20 @@ def _build_library() -> str:
         with os.fdopen(fd, "w") as f:
             f.write(C_SOURCE)
         tmp_lib = src_path + ".so"
-        subprocess.run(
-            [_compiler(), *_CFLAGS, src_path, "-o", tmp_lib],
-            check=True,
+        cc = _compiler()
+        proc = subprocess.run(
+            [cc, *_CFLAGS, src_path, "-o", tmp_lib],
             capture_output=True,
             text=True,
         )
+        if proc.returncode != 0:
+            # the exit status alone says nothing; surface what the
+            # compiler printed (its last lines carry the error)
+            tail = proc.stderr.strip().splitlines()[-5:]
+            raise RuntimeError(
+                f"C compiler {cc!r} failed with exit status "
+                f"{proc.returncode}: " + " | ".join(tail)
+            )
         # atomic publish: concurrent builders race benignly
         os.replace(tmp_lib, lib_path)
     finally:

@@ -18,17 +18,12 @@ Backends
 ``jit``
     Runtime-compiled scalar kernels that replay the *exact* arithmetic
     of the reference (same accumulation order, same rounding, no FMA
-    contraction), so results are byte-equal.  Two engines are tried in
-    order:
+    contraction), so results are byte-equal.  The one engine is
+    :mod:`repro.jit.cbackend`: C kernels compiled at runtime with the
+    system C compiler and loaded through cffi (the ``[jit]`` extra).
 
-    1. :mod:`repro.jit.nbackend` — Numba ``@njit`` kernels (install via
-       the ``[jit]`` extra).
-    2. :mod:`repro.jit.cbackend` — C kernels compiled at runtime with
-       the system C compiler through cffi.
-
-    Whichever engine loads first must pass a bit-identity self-test
-    against the numpy reference before it is accepted; a failing or
-    missing engine falls through to the next.  When no engine works,
+    The engine must pass a bit-identity self-test against the numpy
+    reference before it is accepted.  When it is missing or fails,
     :func:`resolve_backend` degrades ``jit`` to ``numpy`` with a
     :class:`JitUnavailableWarning` naming the reason.
 
@@ -124,28 +119,14 @@ _ENGINE_LOADED = False
 _ENGINE_FAILURE: Optional[str] = None
 
 
-def _load_numba():
-    from . import nbackend
-
-    return nbackend.NumbaEngine()
-
-
-def _load_cffi():
-    from . import cbackend
-
-    return cbackend.CEngine()
-
-
 def load_engine():
     """The process-wide JIT engine, or ``None`` with the reason recorded.
 
-    Engines are tried in preference order (numba, then the cffi/C
-    fallback); each candidate must pass :func:`selftest.run` — a
-    bit-identity check of every kernel family against the numpy
-    reference — before it is accepted.  The result (including failure)
-    is cached for the process; set ``REPRO_JIT_DISABLE=1`` to force the
-    unavailable path or ``REPRO_JIT_ENGINE={numba,cffi}`` to pin one
-    candidate.
+    The engine is the cffi/C engine, accepted only after
+    :func:`selftest.run` — a bit-identity check of every kernel family
+    against the numpy reference — passes.  The result (including
+    failure) is cached for the process; set ``REPRO_JIT_DISABLE=1`` to
+    force the unavailable path.
     """
     global _ENGINE, _ENGINE_LOADED, _ENGINE_FAILURE
     if _ENGINE_LOADED:
@@ -154,23 +135,16 @@ def load_engine():
     if os.environ.get("REPRO_JIT_DISABLE"):
         _ENGINE_FAILURE = "disabled via REPRO_JIT_DISABLE"
         return None
-    preferred = os.environ.get("REPRO_JIT_ENGINE")
-    reasons = []
-    for name, loader in (("numba", _load_numba), ("cffi", _load_cffi)):
-        if preferred and name != preferred:
-            continue
-        try:
-            engine = loader()
-            from . import selftest
+    try:
+        from . import cbackend, selftest
 
-            selftest.run(engine)
-        except Exception as exc:  # noqa: BLE001 - any failure disables the engine
-            reasons.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        _ENGINE = engine
-        return engine
-    _ENGINE_FAILURE = "; ".join(reasons) or "no engine candidates"
-    return None
+        engine = cbackend.CEngine()
+        selftest.run(engine)
+    except Exception as exc:  # noqa: BLE001 - any failure disables the engine
+        _ENGINE_FAILURE = f"cffi: {type(exc).__name__}: {exc}"
+        return None
+    _ENGINE = engine
+    return engine
 
 
 def jit_available() -> bool:
@@ -179,7 +153,7 @@ def jit_available() -> bool:
 
 
 def jit_engine_name() -> Optional[str]:
-    """``'numba'`` / ``'cffi'`` when available, else ``None``."""
+    """``'cffi'`` when the engine is available, else ``None``."""
     engine = load_engine()
     return engine.name if engine is not None else None
 

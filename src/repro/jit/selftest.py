@@ -1,8 +1,8 @@
-"""Bit-identity self-test every JIT engine must pass before acceptance.
+"""Bit-identity self-test the JIT engine must pass before acceptance.
 
-:func:`repro.jit.dispatch.load_engine` runs :func:`run` on each engine
-candidate; any mismatch (or crash) rejects the engine and the loader
-falls through to the next candidate, ultimately to the numpy backend.
+:func:`repro.jit.dispatch.load_engine` runs :func:`run` on the engine;
+any mismatch (or crash) rejects it and ``backend='jit'`` degrades to
+the numpy backend.
 This is the first line of the byte-equality contract — the parametrized
 backend suite in ``tests/test_jit.py`` is the second.
 

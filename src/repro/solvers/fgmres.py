@@ -192,6 +192,8 @@ class FlexibleGmres:
             n=n,
             nnz=a.nnz,
             bits_per_value=z_basis.bits_per_value,
+            spmv_format=getattr(a, "resolved_format", "csr"),
+            spmv_padded_entries=int(getattr(a, "padded_entries", a.nnz)),
             basis_mode=self.basis_mode,
             basis_tile_elems=z_basis.tile_elems,
         )

@@ -10,7 +10,7 @@ from repro.solvers import (
     JacobiPreconditioner,
     make_problem,
 )
-from repro.sparse import COOMatrix
+from repro.sparse import COOMatrix, SpmvEngine
 
 
 class TestBasics:
@@ -50,6 +50,18 @@ class TestBasics:
         fg = FlexibleGmres(p.a, "float64").solve(p.b, p.target_rrn)
         cb = CbGmres(p.a, "float64").solve(p.b, p.target_rrn)
         assert fg.iterations == cb.iterations
+
+    def test_reports_spmv_engine_format(self):
+        # the timing model prices a padded SpMV from these two fields,
+        # so FGMRES must report them exactly like CB-GMRES
+        p = make_problem("lung2", "smoke")
+        a = SpmvEngine(p.a, format="ell")
+        assert a.padded_entries != p.a.nnz
+        fg = FlexibleGmres(a, "frsz2_32").solve(p.b, p.target_rrn)
+        cb = CbGmres(a, "frsz2_32").solve(p.b, p.target_rrn)
+        for res in (fg, cb):
+            assert res.stats.spmv_format == "ell"
+            assert res.stats.spmv_padded_entries == a.padded_entries
 
     def test_with_preconditioner(self):
         p = make_problem("StocF-1465", "smoke")

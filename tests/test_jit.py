@@ -6,7 +6,7 @@ accumulation order, same rounding, no FMA contraction.  This suite
 pins that contract at every layer: raw bitpack fields, codec
 round-trips, SpMV formats, fused cached/streaming solves and full
 ``CbGmres.solve``/``solve_batch`` runs must all be *byte*-equal across
-backends.  When no jit engine is available (no numba, no C compiler)
+backends.  When the jit engine is unavailable (no cffi, no C compiler)
 the jit half skips with the engine's own failure reason.
 """
 
@@ -89,12 +89,34 @@ class TestDispatch:
             monkeypatch.delenv("REPRO_JIT_DISABLE")
             dispatch._reset_engine_cache()
 
+    def test_failed_build_names_compiler_error(self, monkeypatch, tmp_path):
+        pytest.importorskip("cffi")
+        cc = tmp_path / "broken-cc"
+        cc.write_text(
+            "#!/bin/sh\necho 'fatal: simulated compiler error' >&2\nexit 1\n"
+        )
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "cache"))
+        dispatch._reset_engine_cache()
+        try:
+            with pytest.warns(dispatch.JitUnavailableWarning) as caught:
+                assert dispatch.resolve_backend("jit") == "numpy"
+            message = str(caught[0].message)
+            assert "fatal: simulated compiler error" in message
+            # one engine, one reason: no missing-module failure of a
+            # second engine ahead of the compiler's own message
+            assert dispatch.jit_unavailable_reason().startswith("cffi: ")
+            assert "ModuleNotFoundError" not in message
+        finally:
+            dispatch._reset_engine_cache()
+
     @requires_jit
     def test_jit_registry_mirrors_numpy(self):
         dispatch.get_kernel("frsz2.encode_fields", "jit")  # force load
         assert dispatch.registered_kernels("jit") == \
             dispatch.registered_kernels("numpy")
-        assert dispatch.jit_engine_name() in ("numba", "cffi")
+        assert dispatch.jit_engine_name() == "cffi"
         assert dispatch.jit_unavailable_reason() is None
 
 
